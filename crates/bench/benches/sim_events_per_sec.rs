@@ -1,6 +1,6 @@
 //! Pins the engine rebuild's throughput: simulated events per wall-clock
 //! second for the frozen pre-rebuild loop (`fcad_serve::reference`), the
-//! calendar-driven engine and the parallel shard engine, on the fleet
+//! calendar-driven engine and the windowed shard kernel, on the fleet
 //! suite at 64 shards (where the reference's per-iteration linear scans
 //! dominate) plus a downscaled metropolis. Each comparison prints a
 //! machine-readable JSON line with the measured events/sec and the
@@ -167,10 +167,10 @@ fn bench(c: &mut Criterion) {
 
     // The windowed cell: a *coupled* metropolis — the fleet scales from
     // 192 toward 256 shards under queue pressure (those spans run
-    // sequentially), then the terminal phase executes in parallel
-    // windows. All three engines are byte-identical; the windowed run at
-    // 8 workers must clear 2× over the sequential coupled engine (the
-    // floor `perf_trajectory` pins in BENCH_serve.json).
+    // sequentially), then the terminal phase executes in windows. All
+    // engines are byte-identical; the windowed run at 8 workers must
+    // clear 2× over the sequential coupled engine (the floor
+    // `perf_trajectory` pins in BENCH_serve.json).
     let policy = Autoscaler::reactive(192, 256)
         .with_cooldown_us(0)
         .with_idle_retire_us(0);
@@ -210,8 +210,25 @@ fn bench(c: &mut Criterion) {
             &plan,
         )
     });
+    // The same windows on one worker: the kernel runs inline, so the gap
+    // between this line and `windowed8` is the thread gain alone, and the
+    // gap between `rebuilt` and this line is the kernel's.
+    let inline_plan = WindowPlan::new(1).with_window_us(400_000);
+    let (inline_sec, inline_report) = timed(|| {
+        simulate_windowed(
+            &config,
+            &metropolis,
+            kind,
+            &policy,
+            &none,
+            AdmissionKind::AdmitAll,
+            DeadlinePolicy::Off,
+            &inline_plan,
+        )
+    });
     assert_eq!(ref_report.to_json_line(), seq_report.to_json_line());
     assert_eq!(ref_report.to_json_line(), win_report.to_json_line());
+    assert_eq!(ref_report.to_json_line(), inline_report.to_json_line());
     assert!(
         seq_sec / win_sec >= 2.0,
         "windowed8 must clear 2x over the sequential coupled engine \
@@ -222,6 +239,7 @@ fn bench(c: &mut Criterion) {
     let cell = "metropolis_100k_autoscaled";
     print_comparison(cell, events, ref_sec, "reference", ref_sec);
     print_comparison(cell, events, ref_sec, "rebuilt", seq_sec);
+    print_comparison(cell, events, ref_sec, "windowed1", inline_sec);
     print_comparison(cell, events, ref_sec, "windowed8", win_sec);
     c.bench_function("sim_events/metropolis_100k_autoscaled/windowed8", |b| {
         b.iter(|| {

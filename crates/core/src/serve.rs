@@ -216,10 +216,10 @@ impl FcadResult {
     }
 
     /// [`FcadResult::serve_qos_autoscaled`] executed by the
-    /// time-windowed parallel engine on `workers` threads. The report is
-    /// byte-identical to the sequential run at every worker count;
-    /// `workers <= 1`, one-shard fleets and load-aware balancers run the
-    /// sequential engine directly.
+    /// time-windowed engine on `workers` threads (one worker runs its
+    /// per-shard kernel inline). The report is byte-identical to the
+    /// sequential run at every worker count; only one-shard fleets and
+    /// load-aware balancers run the sequential engine directly.
     #[allow(clippy::too_many_arguments)]
     pub fn serve_windowed(
         &self,

@@ -425,16 +425,15 @@ mod tests {
 
     #[test]
     fn engine_rebuild_modules_are_inside_the_determinism_scopes() {
-        // The engine rebuild added calendar.rs, parallel.rs and
-        // reference.rs under crates/serve/src, the deadline work added
-        // deadline.rs, and the windowed engine added window.rs; the
+        // The engine rebuild added calendar.rs and reference.rs under
+        // crates/serve/src, the deadline work added deadline.rs, and the
+        // windowed engine added window.rs (now the only shard kernel); the
         // directory-prefix scope must keep policing them — a bit-identity
         // bug from a stray HashMap or bare cast in the hot path is exactly
         // what these rules exist to catch.
         for module in [
             "crates/serve/src/calendar.rs",
             "crates/serve/src/deadline.rs",
-            "crates/serve/src/parallel.rs",
             "crates/serve/src/reference.rs",
             "crates/serve/src/window.rs",
         ] {

@@ -42,6 +42,18 @@ pub(crate) fn u64_to_usize(v: u64) -> usize {
     v as usize // fcad-lint: allow(lossy-cast): asserted to fit usize above
 }
 
+/// `usize → u32`, checked in every build: the windowed engine stores
+/// arrival indices as `u32`, and a run past 2^32 arrivals must fail
+/// loudly rather than alias requests.
+pub(crate) fn usize_to_u32(v: usize) -> u32 {
+    u32::try_from(v).expect("usize→u32 would truncate: value exceeds u32::MAX")
+}
+
+/// `u32 → usize`: widening on every supported target (usize ≥ 32 bits).
+pub(crate) fn u32_to_usize(v: u32) -> usize {
+    v as usize // fcad-lint: allow(lossy-cast): usize is at least 32 bits on all supported targets
+}
+
 /// `f64 → u64` by truncation toward zero: asserts the value is finite,
 /// non-negative and exactly representable territory (≤ 2^53). Callers
 /// apply their own `ceil` / `round` / `max` *before* converting, so the
@@ -71,6 +83,15 @@ mod tests {
         assert_eq!(usize_to_u64(usize::MIN), 0);
         assert_eq!(u64_to_usize(42), 42);
         assert_eq!(f64_to_usize(3.9), 3, "truncation toward zero");
+        let max = u32_to_usize(u32::MAX);
+        assert_eq!(usize_to_u32(max), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "usize→u32 would truncate")]
+    #[cfg(target_pointer_width = "64")]
+    fn usize_beyond_u32_is_caught_in_every_build() {
+        usize_to_u32(u32_to_usize(u32::MAX) + 1);
     }
 
     #[test]

@@ -781,7 +781,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     let dead = &mut self.shards[victim];
                     while dead.scheduler.queued() > 0 {
                         let batch = dead.scheduler.next_batch(&dead.model, now_us, &[]);
-                        debug_assert!(!batch.is_empty(), "scheduler returned an empty batch");
+                        assert!(!batch.is_empty(), "{}", dead.model.empty_batch_message());
                         orphans.extend(batch);
                     }
                     dead.backlog_us = 0;
@@ -970,7 +970,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         let batch = loop {
             let s = &mut self.shards[shard];
             let popped = s.scheduler.next_batch(&s.model, now_us, &[]);
-            debug_assert!(!popped.is_empty(), "scheduler returned an empty batch");
+            assert!(!popped.is_empty(), "{}", s.model.empty_batch_message());
             self.queued_total -= popped.len();
             let live = if culls {
                 let mut live = Vec::with_capacity(popped.len());

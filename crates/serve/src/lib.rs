@@ -49,15 +49,19 @@
 //!   `completed + dropped + lost + shed + expired == issued`. With
 //!   [`DeadlinePolicy::Off`] every legacy entry point stays
 //!   byte-identical.
-//! - **Scale** ([`calendar::Calendar`], [`simulate_fleet_parallel`]): the
+//! - **Scale** ([`calendar::Calendar`], [`simulate_windowed`]): the
 //!   loop is driven by an indexed event calendar (a binary min-heap with a
 //!   total, deterministic key order) instead of per-iteration linear
-//!   scans, and static fleets under load-oblivious balancers decompose
-//!   across worker threads with an exact-merge reduction — both
-//!   byte-identical to the frozen pre-rebuild engine
-//!   ([`reference`]), pinned by a differential equivalence battery. The
-//!   [`Scenario::metropolis`] workload (1.05 M sessions) exercises the
-//!   path at fleet scale.
+//!   scans. Under load-oblivious balancers (round-robin, branch-sharded)
+//!   the windowed engine runs every quiescent span through one per-shard
+//!   kernel that bypasses the calendar: inline on the calling thread at
+//!   one worker, fanned out across threads at more. A static fleet is a
+//!   window with no pinned edges ([`simulate_fleet_parallel`]); only
+//!   load-aware balancers and one-shard fleets take the sequential
+//!   engine. Every path is byte-identical to the frozen pre-rebuild
+//!   engine ([`mod@reference`]), pinned by a differential equivalence
+//!   battery. The [`Scenario::metropolis`] workload (1.05 M sessions)
+//!   exercises the path at fleet scale.
 //! - **Reporting** ([`ServeReport`]): throughput, utilization, drop rate
 //!   and p50/p95/p99 latency from a fixed-bucket histogram
 //!   ([`LatencyHistogram`]), plus per-shard utilization/imbalance
@@ -112,7 +116,6 @@ mod fleet;
 mod histogram;
 pub mod json;
 mod model;
-mod parallel;
 mod qos;
 pub mod reference;
 mod report;
@@ -135,10 +138,6 @@ pub use engine::{
 pub use fleet::{FleetConfig, LoadBalancerKind};
 pub use histogram::LatencyHistogram;
 pub use model::{BranchService, ServiceModel};
-pub use parallel::{
-    simulate_fleet_deadline_parallel, simulate_fleet_parallel, simulate_fleet_qos_parallel,
-    simulate_fleet_traced_parallel,
-};
 pub use qos::{ClassMix, QosClass, CLASS_COUNT};
 pub use report::{BranchServeStats, ClassServeStats, LatencySummary, ServeReport, ShardStats};
 pub use request::Request;
@@ -146,7 +145,10 @@ pub use scenario::{ArrivalPattern, Scenario};
 pub use scheduler::{
     BatchScheduler, DeadlineScheduler, FifoScheduler, PriorityScheduler, Scheduler, SchedulerKind,
 };
-pub use window::{simulate_windowed, simulate_windowed_traced, WindowPlan};
+pub use window::{
+    simulate_fleet_deadline_parallel, simulate_fleet_parallel, simulate_fleet_qos_parallel,
+    simulate_fleet_traced_parallel, simulate_windowed, simulate_windowed_traced, WindowPlan,
+};
 
 // Observability surface, re-exported from `fcad-obs` so traced serving
 // needs only this crate: the sink trait and its implementations, the

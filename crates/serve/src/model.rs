@@ -120,6 +120,31 @@ impl ServiceModel {
     pub fn max_batch(&self, branch: usize) -> usize {
         self.branches.get(branch).map_or(1, |b| b.max_batch)
     }
+
+    /// Panic message for a scheduler pop that returned no request from a
+    /// non-empty queue, which would otherwise spin a dispatch loop
+    /// forever. Names every branch whose `max_batch` is 0, the one
+    /// configuration known to cause it.
+    pub(crate) fn empty_batch_message(&self) -> String {
+        let zero: Vec<String> = self
+            .branches
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.max_batch == 0)
+            .map(|(index, b)| format!("{index} (`{}`)", b.name))
+            .collect();
+        if zero.is_empty() {
+            "scheduler returned an empty batch from a non-empty queue \
+             (every BranchService.max_batch is at least 1)"
+                .to_owned()
+        } else {
+            format!(
+                "scheduler returned an empty batch: BranchService.max_batch is 0 for branch {}; \
+                 every branch must batch at least one request",
+                zero.join(", ")
+            )
+        }
+    }
 }
 
 fn seconds_to_us(seconds: f64) -> u64 {

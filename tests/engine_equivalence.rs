@@ -1,6 +1,7 @@
 //! The engine-rebuild differential battery: the calendar-driven engine
-//! (`fcad_serve::simulate_*`) and the parallel shard engine
-//! (`fcad_serve::simulate_fleet_parallel` and friends) must reproduce the
+//! (`fcad_serve::simulate_*`) and the windowed shard kernel, reached
+//! through `fcad_serve::simulate_windowed` and the static-fleet
+//! `fcad_serve::simulate_fleet_parallel` wrappers, must reproduce the
 //! frozen pre-rebuild loop (`fcad_serve::reference`) **byte for byte** —
 //! same `ServeReport` JSON line, same recorded trace stream — for every
 //! scheduler × balancer × scenario combination, across shard counts,
@@ -378,8 +379,8 @@ fn windowed_trace_streams_match_the_sequential_recording() {
 
 #[test]
 fn parallel_trace_streams_match_the_sequential_recording() {
-    // Static fleets only — the parallel engine's decomposable regime —
-    // but across every balancer (load-aware kinds exercise the fallback).
+    // Static fleets only — windows with no pinned edges — but across
+    // every balancer (load-aware kinds exercise the sequential engine).
     let scenario = Scenario::b2_qos().with_sessions(16);
     for &kind in SchedulerKind::all() {
         for &balancer in LoadBalancerKind::all() {

@@ -1,5 +1,6 @@
 //! The metropolis scale test: 1.05 M sessions (3.15 M requests) across a
-//! 256-shard fleet, executed by the parallel engine. Release-only — the
+//! 256-shard fleet, executed by the windowed engine's shard kernel on
+//! every available core. Release-only — the
 //! debug build carries the engine's conservation `debug_assert!`s and
 //! unoptimized heaps, so the test is `#[ignore]`d there and CI runs it
 //! with `cargo test --release`.
