@@ -92,34 +92,47 @@ impl Parallelism {
     /// ties. The result never exceeds the stage's maximum parallelism; it
     /// may deliver fewer lanes than requested when the target exceeds that
     /// maximum.
+    ///
+    /// Candidates are visited in ascending `cpf`, then ascending `kpf`, then
+    /// `h` in the order ideal, ideal + 1, ideal − 1, and the first candidate
+    /// with the best score wins; the loops stop as soon as the channel lanes
+    /// exceed twice the target, which no later (larger) divisor can undo.
     pub fn for_target(stage: &ConvStage, target_lanes: usize) -> Self {
         let target = target_lanes.max(1) as f64;
         let max = Self::max_for(stage);
         let ideal_cycles = stage.macs.max(1) as f64;
+        let cycles_per_step = ideal_cycles / (max.cpf * max.kpf * max.h) as f64;
+        let kpf_divisors = divisors(max.kpf);
         let mut best = Self::unit();
         let mut best_score = (f64::INFINITY, 0usize);
-        for &cpf in &divisors(max.cpf) {
+        for cpf in divisors(max.cpf) {
             if cpf as f64 > target * 2.0 && cpf > 1 {
-                continue;
+                break;
             }
-            for &kpf in &divisors(max.kpf) {
+            for &kpf in &kpf_divisors {
                 let channel_lanes = cpf * kpf;
                 if channel_lanes as f64 > target * 2.0 && channel_lanes > 1 {
-                    continue;
+                    break;
                 }
+                // `cpf` and `kpf` divide their dimensions, so these
+                // quotients are exact.
+                let channel_steps = (max.cpf / cpf) * (max.kpf / kpf);
                 let h_ideal = (target / channel_lanes as f64).round() as usize;
-                for h in [h_ideal, h_ideal + 1, h_ideal.saturating_sub(1)] {
+                // Saturating: a target near `usize::MAX` (an unbounded
+                // bandwidth budget) must not overflow; the extra candidate
+                // then repeats `h_ideal` and cannot win.
+                for h in [
+                    h_ideal,
+                    h_ideal.saturating_add(1),
+                    h_ideal.saturating_sub(1),
+                ] {
                     let h = h.clamp(1, max.h);
-                    let candidate = Self::new(cpf, kpf, h);
                     // Score by the *effective* lanes the candidate delivers
                     // once loop quantization is taken into account: a factor
                     // that mis-divides its dimension (e.g. 43 partitions of
                     // 55 rows) wastes cycles that raw lane counting hides.
-                    let quantized_cycles = (max.cpf.div_ceil(candidate.cpf)
-                        * max.kpf.div_ceil(candidate.kpf)
-                        * max.h.div_ceil(candidate.h))
-                        as f64
-                        * (ideal_cycles / (max.cpf * max.kpf * max.h) as f64);
+                    let steps = channel_steps * max.h.div_ceil(h);
+                    let quantized_cycles = (steps as f64) * cycles_per_step;
                     let effective_lanes = ideal_cycles / quantized_cycles.max(1.0);
                     let distance = (effective_lanes - target).abs();
                     // Prefer the closest effective throughput; on ties prefer
@@ -128,7 +141,7 @@ impl Parallelism {
                     if score.0 < best_score.0 || (score.0 == best_score.0 && score.1 < best_score.1)
                     {
                         best_score = score;
-                        best = candidate;
+                        best = Self::new(cpf, kpf, h);
                     }
                 }
             }
@@ -234,5 +247,12 @@ mod tests {
         let p = Parallelism::for_target(&tiny, 1_000_000);
         assert!(p.validate_for(&tiny).is_ok());
         assert_eq!(p.total(), 2 * 2 * 4);
+    }
+
+    #[test]
+    fn for_target_of_usize_max_lanes_does_not_overflow() {
+        // An unbounded bandwidth budget asks for `usize::MAX` lanes.
+        let p = Parallelism::for_target(&stage(), usize::MAX);
+        assert_eq!(p, Parallelism::max_for(&stage()));
     }
 }

@@ -220,7 +220,9 @@ impl DseEngine {
     /// # Errors
     ///
     /// Returns [`Error::MismatchedCustomization`] when the customization's
-    /// branch count differs from the accelerator's, and
+    /// branch count differs from the accelerator's, when a branch priority
+    /// or the fitness `α` is not finite (it would make every fitness NaN or
+    /// infinite and freeze the search on its first feasible particle), and
     /// [`Error::NoFeasibleDesign`] when not a single candidate fits the
     /// platform budget.
     pub fn explore(
@@ -237,6 +239,22 @@ impl DseEngine {
                     "accelerator has {branch_count} branches, customization describes {}",
                     customization.branch_count()
                 ),
+            });
+        }
+        if let Some((index, priority)) = customization
+            .priorities
+            .iter()
+            .enumerate()
+            .find(|(_, priority)| !priority.is_finite())
+        {
+            return Err(Error::MismatchedCustomization {
+                reason: format!("priority of branch {index} is {priority}; it must be finite"),
+            });
+        }
+        let alpha = self.params.fitness.alpha;
+        if !alpha.is_finite() {
+            return Err(Error::MismatchedCustomization {
+                reason: format!("fitness alpha is {alpha}; it must be finite"),
             });
         }
         if branch_count == 0 {
@@ -526,6 +544,67 @@ mod tests {
             .explore(&acc, &Platform::z7045(), &custom)
             .unwrap_err();
         assert!(matches!(err, Error::MismatchedCustomization { .. }));
+    }
+
+    fn explore_zu17eg_int8(custom: &Customization, fitness: FitnessParams) -> Result<DseResult> {
+        let decoder = BranchPipeline::new(
+            "decoder",
+            vec![ConvStage::synthetic("d1", 32, 32, 64, 64, 3, 1)],
+        );
+        let acc = ElasticAccelerator::new(
+            "three-branch",
+            vec![decoder.clone(), decoder.clone(), decoder],
+            200e6,
+        );
+        let params = DseParams {
+            fitness,
+            ..DseParams::fast()
+        };
+        DseEngine::new(params).explore(&acc, &Platform::zu17eg(), custom)
+    }
+
+    #[test]
+    fn non_finite_priorities_are_rejected_naming_branch_and_value() {
+        for (bad, shown) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ] {
+            let custom =
+                Customization::codec_avatar(Precision::Int8).with_priorities(vec![1.0, bad, 1.0]);
+            let err = explore_zu17eg_int8(&custom, FitnessParams::default()).unwrap_err();
+            let Error::MismatchedCustomization { reason } = &err else {
+                panic!("expected a mismatched customization, got {err:?}");
+            };
+            assert_eq!(
+                reason,
+                &format!("priority of branch 1 is {shown}; it must be finite")
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_fitness_alpha_is_rejected() {
+        let custom = Customization::codec_avatar(Precision::Int8);
+        for alpha in [f64::NAN, f64::INFINITY] {
+            let err = explore_zu17eg_int8(&custom, FitnessParams::new(alpha)).unwrap_err();
+            assert!(
+                matches!(&err, Error::MismatchedCustomization { reason }
+                    if reason.contains("fitness alpha") && reason.contains(&alpha.to_string())),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_priorities_stay_legal() {
+        let custom =
+            Customization::codec_avatar(Precision::Int8).with_priorities(vec![1.0, -1.0, 1.0]);
+        let result = explore_zu17eg_int8(&custom, FitnessParams::default())
+            .expect("a negative priority is a legal preference");
+        assert!(result.best_fitness.is_finite());
+        assert!(result.fitness_history.iter().all(|f| f.is_finite()));
+        assert!(result.min_fps() > 0.0);
     }
 
     #[test]

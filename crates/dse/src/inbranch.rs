@@ -1,7 +1,8 @@
 //! In-branch greedy optimization (Algorithm 2 of the paper).
 
 use fcad_accel::{
-    BranchConfig, BranchPipeline, CostModel, Parallelism, ResourceBudget, StageConfig, UnitModel,
+    BranchConfig, BranchPipeline, ConvStage, CostModel, Parallelism, ResourceBudget, StageConfig,
+    UnitModel,
 };
 use fcad_nnir::Precision;
 
@@ -21,12 +22,74 @@ use fcad_nnir::Precision;
 /// 3. greedily grows the slowest stage again while the batch-size constraint
 ///    keeps holding, stopping when no stage can grow — "once the parallelism
 ///    fails to grow".
+///
+/// Each (stage, lane target) pair is resolved — [`Parallelism::for_target`]
+/// plus the unit's DSP / BRAM / latency / weight-traffic cost — once per
+/// [`optimize`](Self::optimize) call and read from a per-call table after
+/// that, since a growth trial changes only one stage. The table is dropped
+/// when the call returns.
 #[derive(Debug, Clone)]
 pub struct InBranchOptimizer<'a> {
     pipeline: &'a BranchPipeline,
     precision: Precision,
     frequency_hz: f64,
     cost: CostModel,
+}
+
+/// The resolved parallelism and unit cost of one stage at one lane target.
+#[derive(Debug, Clone, Copy)]
+struct StageCost {
+    parallelism: Parallelism,
+    dsp: usize,
+    bram: usize,
+    latency_cycles: u64,
+    weight_bytes: u64,
+}
+
+/// Per-call memo of [`StageCost`]s keyed by (stage index, lanes). On the
+/// Table IV cases a call resolves about seven lane targets per stage, so one
+/// flat table scanned linearly beats hashing, and sizing it for eight per
+/// stage up front keeps it to one allocation: per-stage tables grown on
+/// demand raised the process's peak RSS measurably.
+struct StageCosts<'a> {
+    stages: &'a [ConvStage],
+    precision: Precision,
+    cost: &'a CostModel,
+    resolved: Vec<(usize, usize, StageCost)>,
+}
+
+impl<'a> StageCosts<'a> {
+    fn new(stages: &'a [ConvStage], precision: Precision, cost: &'a CostModel) -> Self {
+        Self {
+            stages,
+            precision,
+            cost,
+            resolved: Vec::with_capacity(stages.len() * 8),
+        }
+    }
+
+    /// The cost of stage `index` at `lanes` lanes, resolved on first use.
+    fn get(&mut self, index: usize, lanes: usize) -> StageCost {
+        if let Some(&(_, _, cost)) = self
+            .resolved
+            .iter()
+            .find(|&&(stage, resolved_lanes, _)| stage == index && resolved_lanes == lanes)
+        {
+            return cost;
+        }
+        let stage = &self.stages[index];
+        let parallelism = Parallelism::for_target(stage, lanes);
+        let unit = UnitModel::with_cost_model(stage, parallelism, self.precision, self.cost);
+        let cost = StageCost {
+            parallelism,
+            dsp: unit.dsp(),
+            bram: unit.bram(),
+            latency_cycles: unit.latency_cycles(),
+            weight_bytes: unit.weight_bytes_per_frame(),
+        };
+        self.resolved.push((index, lanes, cost));
+        cost
+    }
 }
 
 impl<'a> InBranchOptimizer<'a> {
@@ -57,6 +120,7 @@ impl<'a> InBranchOptimizer<'a> {
         if stages.is_empty() {
             return BranchConfig::new(target_batch, Vec::new());
         }
+        let mut costs = StageCosts::new(stages, self.precision, &self.cost);
 
         // Lines 4–12: optimistic, load-balanced parallelism targets derived
         // from the bandwidth-limited frame rate.
@@ -74,7 +138,7 @@ impl<'a> InBranchOptimizer<'a> {
         // Lines 13–24: halve until the requested batch size fits.
         let target_batch = target_batch.max(1);
         loop {
-            let batch = self.supported_batch(&targets, budget);
+            let batch = self.supported_batch(&mut costs, &targets, budget);
             if batch >= target_batch {
                 break;
             }
@@ -92,48 +156,48 @@ impl<'a> InBranchOptimizer<'a> {
         let mut guard = 0usize;
         while growable.iter().any(|&g| g) && guard < 512 {
             guard += 1;
-            let Some(slowest) = self.slowest_growable_stage(&targets, &growable) else {
+            let Some(slowest) = slowest_growable_stage(&mut costs, &targets, &growable) else {
                 break;
             };
-            let stage = &stages[slowest];
-            let max_lanes = Parallelism::max_for(stage).total();
+            let max_lanes = Parallelism::max_for(&stages[slowest]).total();
             let current = targets[slowest];
             if current >= max_lanes {
                 growable[slowest] = false;
                 continue;
             }
-            let attempt = (current * 2).min(max_lanes);
-            let mut trial = targets.clone();
-            trial[slowest] = attempt;
-            if self.supported_batch(&trial, budget) >= target_batch {
-                targets = trial;
-            } else {
+            targets[slowest] = (current * 2).min(max_lanes);
+            if self.supported_batch(&mut costs, &targets, budget) < target_batch {
+                targets[slowest] = current;
                 growable[slowest] = false;
             }
         }
 
-        BranchConfig::new(target_batch, self.stage_configs(&targets))
+        let configs = targets
+            .iter()
+            .enumerate()
+            .map(|(index, &lanes)| StageConfig::new(costs.get(index, lanes).parallelism))
+            .collect();
+        BranchConfig::new(target_batch, configs)
     }
 
     /// How many pipeline copies with the given per-stage lane targets fit in
     /// the budget (Algorithm 2, line 18).
-    fn supported_batch(&self, targets: &[usize], budget: &ResourceBudget) -> usize {
-        let stages = self.pipeline.stages();
+    fn supported_batch(
+        &self,
+        costs: &mut StageCosts<'_>,
+        targets: &[usize],
+        budget: &ResourceBudget,
+    ) -> usize {
         let mut dsp = 0usize;
         let mut bram = 0usize;
         let mut max_latency = 1u64;
         let mut weight_bytes = 0u64;
-        for (stage, &lanes) in stages.iter().zip(targets) {
-            let unit = UnitModel::with_cost_model(
-                stage,
-                Parallelism::for_target(stage, lanes),
-                self.precision,
-                &self.cost,
-            );
-            dsp += unit.dsp();
-            bram += unit.bram();
-            max_latency = max_latency.max(unit.latency_cycles());
-            weight_bytes += unit.weight_bytes_per_frame();
+        for (index, &lanes) in targets.iter().enumerate() {
+            let unit = costs.get(index, lanes);
+            dsp += unit.dsp;
+            bram += unit.bram;
+            max_latency = max_latency.max(unit.latency_cycles);
+            weight_bytes += unit.weight_bytes;
         }
         let copies_by_dsp = budget.dsp / dsp.max(1);
         let copies_by_bram = budget.bram / bram.max(1);
@@ -146,30 +210,27 @@ impl<'a> InBranchOptimizer<'a> {
         };
         copies_by_dsp.min(copies_by_bram).min(copies_by_bw)
     }
+}
 
-    /// Index of the stage with the highest latency among those still allowed
-    /// to grow.
-    fn slowest_growable_stage(&self, targets: &[usize], growable: &[bool]) -> Option<usize> {
-        let stages = self.pipeline.stages();
-        stages
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| growable[*i])
-            .max_by_key(|(i, stage)| {
-                let p = Parallelism::for_target(stage, targets[*i]);
-                (stage.macs as f64 / p.total() as f64).ceil() as u64
-            })
-            .map(|(i, _)| i)
+/// Index of the stage with the highest latency among those still allowed to
+/// grow; on ties the last such stage wins (as with `Iterator::max_by_key`).
+fn slowest_growable_stage(
+    costs: &mut StageCosts<'_>,
+    targets: &[usize],
+    growable: &[bool],
+) -> Option<usize> {
+    let mut slowest: Option<(usize, u64)> = None;
+    for (index, &lanes) in targets.iter().enumerate() {
+        if !growable[index] {
+            continue;
+        }
+        let p = costs.get(index, lanes).parallelism;
+        let cycles = (costs.stages[index].macs as f64 / p.total() as f64).ceil() as u64;
+        if slowest.is_none_or(|(_, most)| cycles >= most) {
+            slowest = Some((index, cycles));
+        }
     }
-
-    fn stage_configs(&self, targets: &[usize]) -> Vec<StageConfig> {
-        self.pipeline
-            .stages()
-            .iter()
-            .zip(targets)
-            .map(|(stage, &lanes)| StageConfig::new(Parallelism::for_target(stage, lanes)))
-            .collect()
-    }
+    slowest.map(|(index, _)| index)
 }
 
 #[cfg(test)]
