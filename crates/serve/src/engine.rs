@@ -28,10 +28,14 @@
 //! Admission happens in arrival order against the chosen shard's live
 //! state: the balancer picks among the *placeable* shards, the admission
 //! controller accepts or sheds the request at that shard's front door, and
-//! the shard's bounded queue takes the drop. Static fleets under a
-//! load-oblivious balancer (round-robin, branch-sharded) additionally
-//! skip the per-arrival placeable scan entirely — placement is O(1)
-//! arithmetic until the first lifecycle event or spawn.
+//! the shard's bounded queue takes the drop. No placement scans the
+//! fleet: load-oblivious balancers (round-robin, branch-sharded) place by
+//! O(1) cursor arithmetic over a placeable snapshot rebuilt only after a
+//! lifecycle event or spawn, and load-aware ones (least-loaded,
+//! affinity) pick from the O(log n) least-loaded index of a
+//! [`LoadBoard`] the engine re-syncs after every single-shard mutation.
+//! The same board keeps the O(1) fleet counters (active, alive, queued on
+//! active shards) the autoscale triggers and lifecycle guards read.
 //!
 //! The fixed fleet is the no-op special case: [`simulate_fleet`] runs the
 //! same loop under [`Autoscaler::none`] and [`FailurePlan::none`], where no
@@ -52,7 +56,7 @@ use crate::autoscale::{
 use crate::calendar::{Calendar, LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::{f64_to_usize, u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
-use crate::fleet::{Balancer, FleetConfig, LoadBalancerKind, ShardLoad};
+use crate::fleet::{Balancer, BoardRow, FleetConfig, LoadBalancerKind, LoadBoard, ShardLoad};
 use crate::histogram::LatencyHistogram;
 use crate::model::ServiceModel;
 use crate::qos::{QosClass, CLASS_COUNT};
@@ -471,11 +475,15 @@ impl<'a> Shard<'a> {
         }
     }
 
-    fn load(&self) -> ShardLoad {
-        ShardLoad {
-            queued: self.scheduler.queued(),
-            free_at_us: self.free_at_us,
-            backlog_us: self.backlog_us,
+    /// This shard's row on the [`LoadBoard`].
+    pub(crate) fn row(&self) -> BoardRow {
+        BoardRow {
+            phase: self.phase,
+            load: ShardLoad {
+                queued: self.scheduler.queued(),
+                free_at_us: self.free_at_us,
+                backlog_us: self.backlog_us,
+            },
         }
     }
 
@@ -506,17 +514,6 @@ pub(crate) fn refresh_dispatch(
             CalEvent::Dispatch { shard },
         );
     }
-}
-
-fn active_count(shards: &[Shard]) -> usize {
-    shards
-        .iter()
-        .filter(|s| s.phase == ShardState::Active)
-        .count()
-}
-
-fn alive_count(shards: &[Shard]) -> usize {
-    shards.iter().filter(|s| s.phase.is_alive()).count()
 }
 
 /// The steppable core of the sequential engine: every local of the old
@@ -552,7 +549,10 @@ pub(crate) struct EngineCore<'a, 'b> {
     /// Requests sitting in shard queues, fleet-wide: the O(1) termination
     /// check (the frozen loop re-summed every shard per iteration).
     pub(crate) queued_total: usize,
-    pub(crate) loads: Vec<(usize, ShardLoad)>,
+    /// Every shard's phase and load, re-synced after each single-shard
+    /// mutation: the O(1) fleet counters, and the least-loaded index for
+    /// load-aware placement.
+    pub(crate) board: LoadBoard,
     /// Load-oblivious placement fast path: round-robin and branch-sharded
     /// placement are pure cursor arithmetic over the *placeable-id
     /// snapshot* — no per-arrival placeable scan. The snapshot is
@@ -642,6 +642,14 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         }
         let split_us = failures.first_kill_us();
         let shard_count = shards.len();
+        let dense = matches!(
+            config.balancer,
+            LoadBalancerKind::RoundRobin | LoadBalancerKind::BranchSharded
+        );
+        let mut board = LoadBoard::new(capacity, !dense);
+        for shard in &shards {
+            board.push(shard.row());
+        }
 
         Self {
             scenario,
@@ -664,11 +672,8 @@ impl<'a, 'b> EngineCore<'a, 'b> {
             last_scale_up: None,
             recent_latencies: VecDeque::with_capacity(P99_WINDOW),
             queued_total: 0,
-            loads: Vec::with_capacity(shard_count),
-            dense: matches!(
-                config.balancer,
-                LoadBalancerKind::RoundRobin | LoadBalancerKind::BranchSharded
-            ),
+            board,
+            dense,
             placeable_ids: (0..shard_count).collect(),
             placeable_dirty: false,
             tally,
@@ -676,24 +681,41 @@ impl<'a, 'b> EngineCore<'a, 'b> {
     }
 
     /// Rebuilds the placeable-id snapshot after a lifecycle event: the
-    /// active shards' global ids in ascending order, or — only when none
-    /// is active — the warming ones, exactly the candidate set
-    /// [`collect_placeable`] hands the general path.
+    /// global ids of [`LoadBoard::placeable`].
     pub(crate) fn rebuild_placeable(&mut self) {
-        for wanted in [ShardState::Active, ShardState::Warming] {
-            self.placeable_ids.clear();
-            self.placeable_ids.extend(
-                self.shards
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.phase == wanted)
-                    .map(|(index, _)| index),
-            );
-            if !self.placeable_ids.is_empty() {
-                break;
-            }
-        }
+        self.placeable_ids.clear();
+        self.placeable_ids
+            .extend(self.board.placeable().map(|(id, _)| id));
         self.placeable_dirty = false;
+    }
+
+    /// Re-syncs `shard`'s board row after a mutation of its phase, queue,
+    /// fabric-free instant or backlog.
+    pub(crate) fn sync(&mut self, shard: usize) {
+        self.board.sync(shard, self.shards[shard].row());
+    }
+
+    /// Places `request` on a shard: cursor arithmetic over the placeable
+    /// snapshot for load-oblivious balancers, the board's index for
+    /// load-aware ones. `None` when no shard is placeable.
+    fn place(&mut self, request: &Request, now_us: u64) -> Option<usize> {
+        if !self.dense {
+            debug_assert!(
+                (0..self.shards.len()).all(|id| self.board.row(id) == self.shards[id].row()),
+                "the load board is out of sync with the shards"
+            );
+            return self
+                .balancer
+                .place_indexed(request, &mut self.board, now_us);
+        }
+        if self.placeable_dirty {
+            self.rebuild_placeable();
+        }
+        (!self.placeable_ids.is_empty()).then(|| {
+            self.balancer
+                .place_dense(request, &self.placeable_ids)
+                .expect("dense placement covers only load-oblivious balancers")
+        })
     }
 
     /// Processes the single earliest pending event. Returns `false` when
@@ -767,15 +789,8 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 };
                 let Some(victim) = victim else { return };
                 self.shards[victim].phase = ShardState::Failed;
-                record(
-                    &mut self.tally.scale_events,
-                    &self.shards,
-                    now_us,
-                    ScaleEventKind::Fail,
-                    victim,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.sync(victim);
+                self.record(now_us, ScaleEventKind::Fail, victim);
                 let mut orphans: Vec<Request> = Vec::new();
                 {
                     let dead = &mut self.shards[victim];
@@ -790,28 +805,20 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     dead.issued -= usize_to_u64(orphans.len());
                 }
                 self.queued_total -= orphans.len();
+                self.sync(victim);
                 refresh_dispatch(&mut self.calendar, &mut self.shards, victim);
                 if let Some(kind) = self.spawn {
-                    while alive_count(&self.shards) < self.policy.min_shards
-                        && alive_count(&self.shards) < self.policy.max_shards
+                    while self.board.alive() < self.policy.min_shards
+                        && self.board.alive() < self.policy.max_shards
                     {
-                        do_spawn(
-                            now_us,
-                            kind,
-                            self.policy,
-                            &mut self.shards,
-                            &mut self.calendar,
-                            &mut self.life_seq,
-                            &mut self.tally.scale_events,
-                            &mut *self.sink,
-                            self.tracing,
-                        );
-                        self.last_scale_up = Some(now_us);
+                        self.spawn_shard(now_us, kind);
                     }
                 }
                 for request in orphans {
-                    collect_placeable(&mut self.loads, &self.shards);
-                    if self.loads.is_empty() {
+                    let placed = self
+                        .place(&request, now_us)
+                        .filter(|&dst| self.shards[dst].scheduler.queued() < self.capacity);
+                    let Some(dst) = placed else {
                         self.tally.lost[request.branch] += 1;
                         self.tally.class_lost[request.class.index()] += 1;
                         if self.tracing {
@@ -822,22 +829,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                             ));
                         }
                         continue;
-                    }
-                    let dst = self
-                        .balancer
-                        .place(&request, &self.loads, now_us, self.capacity);
-                    if self.shards[dst].scheduler.queued() >= self.capacity {
-                        self.tally.lost[request.branch] += 1;
-                        self.tally.class_lost[request.class.index()] += 1;
-                        if self.tracing {
-                            self.sink.record(request.trace(
-                                now_us,
-                                None,
-                                RequestEventKind::Lost { orphaned: true },
-                            ));
-                        }
-                        continue;
-                    }
+                    };
                     {
                         let target = &mut self.shards[dst];
                         if target.scheduler.queued() == 0 {
@@ -855,6 +847,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                         target.issued += 1;
                     }
                     self.queued_total += 1;
+                    self.sync(dst);
                     // Unconditional: the repay fill can move
                     // `free_at_us` even when the queue was
                     // already non-empty.
@@ -876,28 +869,14 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     return;
                 }
                 let floor = self.policy.min_shards.max(1);
-                if active_count(&self.shards) <= floor {
+                if self.board.active() <= floor {
                     return;
                 }
                 self.shards[shard].phase = ShardState::Draining;
-                record(
-                    &mut self.tally.scale_events,
-                    &self.shards,
-                    now_us,
-                    ScaleEventKind::Drain,
-                    shard,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.sync(shard);
+                self.record(now_us, ScaleEventKind::Drain, shard);
                 if self.shards[shard].scheduler.queued() == 0 {
-                    retire(
-                        &mut self.shards,
-                        &mut self.tally.scale_events,
-                        now_us,
-                        shard,
-                        &mut *self.sink,
-                        self.tracing,
-                    );
+                    self.retire(now_us, shard);
                 }
             }
             Action::Warm => {
@@ -905,15 +884,8 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 if self.shards[shard].phase == ShardState::Warming {
                     self.shards[shard].phase = ShardState::Active;
                     self.shards[shard].free_at_us = self.shards[shard].free_at_us.max(now_us);
-                    record(
-                        &mut self.tally.scale_events,
-                        &self.shards,
-                        now_us,
-                        ScaleEventKind::Warm,
-                        shard,
-                        &mut *self.sink,
-                        self.tracing,
-                    );
+                    self.sync(shard);
+                    self.record(now_us, ScaleEventKind::Warm, shard);
                     // The warm-up raised `free_at_us`, and the
                     // shard may have queued work placed while
                     // warming — it becomes dispatchable now.
@@ -943,17 +915,10 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     return;
                 }
                 let floor = self.policy.min_shards.max(1);
-                if active_count(&self.shards) <= floor {
+                if self.board.active() <= floor {
                     return;
                 }
-                retire(
-                    &mut self.shards,
-                    &mut self.tally.scale_events,
-                    now_us,
-                    shard,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.retire(now_us, shard);
             }
         }
     }
@@ -1009,16 +974,10 @@ impl<'a, 'b> EngineCore<'a, 'b> {
             // but the now-idle shard still owes its drain /
             // idle-retirement housekeeping.
             self.shards[shard].pending_since_us = 0;
+            self.sync(shard);
             refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
             if self.shards[shard].phase == ShardState::Draining {
-                retire(
-                    &mut self.shards,
-                    &mut self.tally.scale_events,
-                    now_us,
-                    shard,
-                    &mut *self.sink,
-                    self.tracing,
-                );
+                self.retire(now_us, shard);
             } else if self.shards[shard].phase == ShardState::Active
                 && self.policy.idle_retire_us > 0
                 && !self.shards[shard].idle_check_pending
@@ -1095,18 +1054,12 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         }
         self.shards[shard].free_at_us = done_us;
         self.shards[shard].pending_since_us = 0;
+        self.sync(shard);
         refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
         if self.shards[shard].phase == ShardState::Draining
             && self.shards[shard].scheduler.queued() == 0
         {
-            retire(
-                &mut self.shards,
-                &mut self.tally.scale_events,
-                done_us,
-                shard,
-                &mut *self.sink,
-                self.tracing,
-            );
+            self.retire(done_us, shard);
         } else if self.shards[shard].phase == ShardState::Active
             && self.shards[shard].scheduler.queued() == 0
             && self.policy.idle_retire_us > 0
@@ -1124,7 +1077,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
         if let Some(kind) = self.spawn.filter(|_| {
             self.policy.scale_up_p99_ms > 0.0
                 && self.recent_latencies.len() >= P99_MIN_SAMPLES
-                && alive_count(&self.shards) < self.policy.max_shards
+                && self.board.alive() < self.policy.max_shards
                 && self
                     .last_scale_up
                     .is_none_or(|t| done_us >= t.saturating_add(self.policy.cooldown_us))
@@ -1135,76 +1088,29 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 f64_to_usize((usize_to_f64(window.len()) * 0.99).ceil()).clamp(1, window.len());
             let p99_ms = u64_to_f64(window[rank - 1]) / 1_000.0;
             if p99_ms >= self.policy.scale_up_p99_ms {
-                do_spawn(
-                    done_us,
-                    kind,
-                    self.policy,
-                    &mut self.shards,
-                    &mut self.calendar,
-                    &mut self.life_seq,
-                    &mut self.tally.scale_events,
-                    &mut *self.sink,
-                    self.tracing,
-                );
-                self.placeable_dirty = true;
-                self.last_scale_up = Some(done_us);
+                self.spawn_shard(done_us, kind);
             }
         }
     }
 
     fn arrival_event(&mut self, request: Request) {
         let now_us = request.issued_at_us;
-        let shard = if self.dense {
-            if self.placeable_dirty {
-                self.rebuild_placeable();
-            }
-            if self.placeable_ids.is_empty() {
-                self.tally.lost[request.branch] += 1;
-                self.tally.class_lost[request.class.index()] += 1;
-                if self.tracing {
-                    self.sink
-                        .record(request.trace(now_us, None, RequestEventKind::Arrival));
-                    self.sink.record(request.trace(
-                        now_us,
-                        None,
-                        RequestEventKind::Lost { orphaned: false },
-                    ));
-                }
-                return;
-            }
-            let dst = self
-                .balancer
-                .place_dense(&request, &self.placeable_ids)
-                .expect("dense placement covers only load-oblivious balancers");
+        let placed = self.place(&request, now_us);
+        if self.tracing {
+            self.sink
+                .record(request.trace(now_us, placed, RequestEventKind::Arrival));
+        }
+        let Some(shard) = placed else {
+            self.tally.lost[request.branch] += 1;
+            self.tally.class_lost[request.class.index()] += 1;
             if self.tracing {
-                self.sink
-                    .record(request.trace(now_us, Some(dst), RequestEventKind::Arrival));
+                self.sink.record(request.trace(
+                    now_us,
+                    None,
+                    RequestEventKind::Lost { orphaned: false },
+                ));
             }
-            dst
-        } else {
-            collect_placeable(&mut self.loads, &self.shards);
-            if self.loads.is_empty() {
-                self.tally.lost[request.branch] += 1;
-                self.tally.class_lost[request.class.index()] += 1;
-                if self.tracing {
-                    self.sink
-                        .record(request.trace(now_us, None, RequestEventKind::Arrival));
-                    self.sink.record(request.trace(
-                        now_us,
-                        None,
-                        RequestEventKind::Lost { orphaned: false },
-                    ));
-                }
-                return;
-            }
-            self.balancer.place_traced(
-                &request,
-                &self.loads,
-                now_us,
-                self.capacity,
-                &mut *self.sink,
-                self.tracing,
-            )
+            return;
         };
         let enqueued_into_empty = {
             let target = &mut self.shards[shard];
@@ -1223,7 +1129,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                 self.tally.shed[request.branch] += 1;
                 self.tally.class_shed[request.class.index()] += 1;
                 target.shed += 1;
-                false
+                None
             } else if target.scheduler.queued() >= self.capacity {
                 self.tally.dropped[request.branch] += 1;
                 self.tally.class_dropped[request.class.index()] += 1;
@@ -1232,7 +1138,7 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     self.sink
                         .record(request.trace(now_us, Some(shard), RequestEventKind::Drop));
                 }
-                false
+                None
             } else {
                 let was_empty = target.scheduler.queued() == 0;
                 if was_empty {
@@ -1247,42 +1153,92 @@ impl<'a, 'b> EngineCore<'a, 'b> {
                     self.sink
                         .record(request.trace(now_us, Some(shard), RequestEventKind::Enqueue));
                 }
-                was_empty
+                Some(was_empty)
             }
         };
-        if enqueued_into_empty {
-            refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+        // A shed or dropped request leaves the shard's row unchanged.
+        if let Some(was_empty) = enqueued_into_empty {
+            self.sync(shard);
+            if was_empty {
+                refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+            }
         }
         if let Some(kind) = self.spawn.filter(|_| self.policy.scale_up_queue_depth > 0) {
-            let actives = active_count(&self.shards);
-            let queued: usize = self
-                .shards
-                .iter()
-                .filter(|s| s.phase == ShardState::Active)
-                .map(|s| s.scheduler.queued())
-                .sum();
+            let actives = self.board.active();
             if actives > 0
-                && queued >= self.policy.scale_up_queue_depth * actives
-                && alive_count(&self.shards) < self.policy.max_shards
+                && self.board.active_queued() >= self.policy.scale_up_queue_depth * actives
+                && self.board.alive() < self.policy.max_shards
                 && self
                     .last_scale_up
                     .is_none_or(|t| now_us >= t.saturating_add(self.policy.cooldown_us))
             {
-                do_spawn(
-                    now_us,
-                    kind,
-                    self.policy,
-                    &mut self.shards,
-                    &mut self.calendar,
-                    &mut self.life_seq,
-                    &mut self.tally.scale_events,
-                    &mut *self.sink,
-                    self.tracing,
-                );
-                self.placeable_dirty = true;
-                self.last_scale_up = Some(now_us);
+                self.spawn_shard(now_us, kind);
             }
         }
+    }
+
+    /// Decommissions a shard (from Draining, or straight from Active on
+    /// idle retirement — its queue is already empty) and logs the
+    /// retirement.
+    fn retire(&mut self, at_us: u64, shard: usize) {
+        self.shards[shard].phase = ShardState::Retired;
+        self.sync(shard);
+        self.record(at_us, ScaleEventKind::Retire, shard);
+    }
+
+    /// Appends a scale event with the post-event active-shard count,
+    /// mirrored as an instant on the trace timeline so fleet transitions
+    /// line up with the request spans they explain.
+    fn record(&mut self, at_us: u64, kind: ScaleEventKind, shard: usize) {
+        let active_after = self.board.active();
+        self.tally.scale_events.push(ScaleEvent {
+            at_sec: u64_to_f64(at_us) / 1e6,
+            kind,
+            shard,
+            active_after,
+        });
+        if self.tracing {
+            self.sink.record(TraceEvent::Fleet(FleetEvent {
+                at_us,
+                shard,
+                kind: kind.fleet_kind(),
+                active_after,
+            }));
+        }
+    }
+
+    /// Spawns one warming shard cloned from shard 0's service model and
+    /// schedules its warm-up completion (plus its first idle check). The
+    /// shard dispatches nothing until the `Warm` event fires — the
+    /// warm-up handler raises `free_at_us` to the warm instant, so even
+    /// work queued while warming cannot complete before the weight fill
+    /// ends.
+    fn spawn_shard(&mut self, now_us: u64, kind: SchedulerKind) {
+        let shard = self.shards.len();
+        let template = self.shards[0].model.clone();
+        self.shards
+            .push(Shard::new(template, kind.build(), ShardState::Warming));
+        self.board.push(self.shards[shard].row());
+        push_life(
+            &mut self.calendar,
+            &mut self.life_seq,
+            now_us + self.policy.warmup_us,
+            shard,
+            Action::Warm,
+        );
+        if self.policy.idle_retire_us > 0 {
+            self.shards[shard].idle_check_pending = true;
+            push_life(
+                &mut self.calendar,
+                &mut self.life_seq,
+                now_us + self.policy.warmup_us + self.policy.idle_retire_us,
+                shard,
+                Action::IdleCheck,
+            );
+        }
+        self.record(now_us, ScaleEventKind::Up, shard);
+        self.placeable_dirty = true;
+        self.last_scale_up = Some(now_us);
     }
 
     /// Consumes the core and folds the per-shard state into the final
@@ -1668,125 +1624,6 @@ fn attainment(within: u64, completed: u64, issued: u64) -> f64 {
     } else {
         u64_to_f64(within) / u64_to_f64(completed)
     }
-}
-
-/// Fills `loads` with the placeable shards' `(global id, load)` pairs:
-/// the active shards, or — only when none is active — the warming ones
-/// (their queues hold until warmed, but the work is not lost).
-fn collect_placeable(loads: &mut Vec<(usize, ShardLoad)>, shards: &[Shard]) {
-    for wanted in [ShardState::Active, ShardState::Warming] {
-        loads.clear();
-        loads.extend(
-            shards
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.phase == wanted)
-                .map(|(index, s)| (index, s.load())),
-        );
-        if !loads.is_empty() {
-            return;
-        }
-    }
-}
-
-/// Decommissions a shard (from Draining, or straight from Active on idle
-/// retirement — its queue is already empty) and logs the retirement.
-fn retire(
-    shards: &mut [Shard],
-    events: &mut Vec<ScaleEvent>,
-    at_us: u64,
-    shard: usize,
-    sink: &mut dyn TraceSink,
-    tracing: bool,
-) {
-    shards[shard].phase = ShardState::Retired;
-    record(
-        events,
-        shards,
-        at_us,
-        ScaleEventKind::Retire,
-        shard,
-        sink,
-        tracing,
-    );
-}
-
-/// Appends a scale event with the post-event active-shard count, mirrored
-/// as an instant on the trace timeline so fleet transitions line up with
-/// the request spans they explain.
-#[allow(clippy::too_many_arguments)]
-fn record(
-    events: &mut Vec<ScaleEvent>,
-    shards: &[Shard],
-    at_us: u64,
-    kind: ScaleEventKind,
-    shard: usize,
-    sink: &mut dyn TraceSink,
-    tracing: bool,
-) {
-    let active_after = active_count(shards);
-    events.push(ScaleEvent {
-        at_sec: u64_to_f64(at_us) / 1e6,
-        kind,
-        shard,
-        active_after,
-    });
-    if tracing {
-        sink.record(TraceEvent::Fleet(FleetEvent {
-            at_us,
-            shard,
-            kind: kind.fleet_kind(),
-            active_after,
-        }));
-    }
-}
-
-/// Spawns one warming shard cloned from shard 0's service model and
-/// schedules its warm-up completion (plus its first idle check). The
-/// shard dispatches nothing until the `Warm` event fires — the warm-up
-/// handler raises `free_at_us` to the warm instant, so even work queued
-/// while warming cannot complete before the weight fill ends.
-#[allow(clippy::too_many_arguments)]
-fn do_spawn<'a>(
-    now_us: u64,
-    kind: SchedulerKind,
-    policy: &Autoscaler,
-    shards: &mut Vec<Shard<'a>>,
-    calendar: &mut Calendar<CalEvent>,
-    life_seq: &mut u64,
-    scale_events: &mut Vec<ScaleEvent>,
-    sink: &mut dyn TraceSink,
-    tracing: bool,
-) {
-    let shard = shards.len();
-    let template = shards[0].model.clone();
-    shards.push(Shard::new(template, kind.build(), ShardState::Warming));
-    push_life(
-        calendar,
-        life_seq,
-        now_us + policy.warmup_us,
-        shard,
-        Action::Warm,
-    );
-    if policy.idle_retire_us > 0 {
-        shards[shard].idle_check_pending = true;
-        push_life(
-            calendar,
-            life_seq,
-            now_us + policy.warmup_us + policy.idle_retire_us,
-            shard,
-            Action::IdleCheck,
-        );
-    }
-    record(
-        scale_events,
-        shards,
-        now_us,
-        ScaleEventKind::Up,
-        shard,
-        sink,
-        tracing,
-    );
 }
 
 #[cfg(test)]

@@ -298,8 +298,22 @@ impl Scenario {
 
     /// Generates the full request trace for `branches` branches, sorted by
     /// arrival time (ties broken by session then branch) with ids assigned
-    /// in that order.
+    /// in that order. A frame rate of zero or below generates nothing.
+    ///
+    /// # Panics
+    ///
+    /// On a non-finite `frame_rate_hz` or `duration_sec`: a NaN rate would
+    /// otherwise emit one frame per microsecond and a NaN duration none.
     pub fn generate(&self, branches: usize) -> Vec<Request> {
+        for (field, value) in [
+            ("frame_rate_hz", self.frame_rate_hz),
+            ("duration_sec", self.duration_sec),
+        ] {
+            assert!(
+                value.is_finite(),
+                "Scenario.{field} must be finite, got {value}"
+            );
+        }
         let classes = self.session_classes();
         let mut requests: Vec<Request> = Vec::new();
         for (session, &class) in classes.iter().enumerate() {
@@ -402,6 +416,39 @@ fn secs_to_us(seconds: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "Scenario.frame_rate_hz must be finite, got NaN")]
+    fn a_nan_frame_rate_is_rejected() {
+        let mut scenario = Scenario::a1();
+        scenario.frame_rate_hz = f64::NAN;
+        scenario.generate(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario.frame_rate_hz must be finite, got inf")]
+    fn an_infinite_frame_rate_is_rejected() {
+        let mut scenario = Scenario::a1();
+        scenario.frame_rate_hz = f64::INFINITY;
+        scenario.generate(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "Scenario.duration_sec must be finite, got NaN")]
+    fn a_nan_duration_is_rejected() {
+        let mut scenario = Scenario::a1();
+        scenario.duration_sec = f64::NAN;
+        scenario.generate(3);
+    }
+
+    #[test]
+    fn a_non_positive_frame_rate_generates_nothing() {
+        for rate in [0.0, -5.0] {
+            let mut scenario = Scenario::a1();
+            scenario.frame_rate_hz = rate;
+            assert!(scenario.generate(3).is_empty(), "rate {rate}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic_for_a_seed() {

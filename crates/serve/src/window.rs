@@ -54,7 +54,9 @@
 //! balancers (least-loaded, affinity-with-spill), which read every
 //! shard's live load *per arrival*, so each placement is itself a
 //! cross-shard read and no window can open, and one-shard fleets, which
-//! have nothing to split.
+//! have nothing to split. That placement is O(log n), not a fleet scan:
+//! the sequential engine answers it from the load board's least-loaded
+//! index ([`crate::fleet::LoadBoard`]).
 //!
 //! Identical inputs produce **byte-identical** reports and recorder
 //! streams at every worker count — pinned across the coupled grid
@@ -65,7 +67,7 @@
 use fcad_obs::{BatchEvent, Off, RequestEventKind, TraceEvent, TraceSink};
 
 use crate::admission::{admit_traced, AdmissionController, AdmissionKind};
-use crate::autoscale::{Autoscaler, FailurePlan, ShardState};
+use crate::autoscale::{Autoscaler, FailurePlan};
 use crate::calendar::{LANE_ARRIVAL, LANE_DISPATCH, LANE_LIFECYCLE};
 use crate::cast::{u32_to_usize, u64_to_usize, usize_to_u32, usize_to_u64};
 use crate::deadline::DeadlinePolicy;
@@ -413,18 +415,12 @@ impl<'a> EngineCore<'a, '_> {
     ///   the first instant it could fire again; before the first
     ///   scale-up there is no bound, so no window opens.
     fn quiescent_horizon(&self) -> Option<u64> {
-        if !self.dense || self.policy.idle_retire_us > 0 {
-            return None;
-        }
-        let mut active = 0usize;
-        for shard in &self.shards {
-            match shard.phase {
-                ShardState::Warming | ShardState::Draining => return None,
-                ShardState::Active => active += 1,
-                ShardState::Retired | ShardState::Failed => {}
-            }
-        }
-        if active == 0 {
+        let active = self.board.active();
+        if !self.dense
+            || self.policy.idle_retire_us > 0
+            || self.board.warming_or_draining() > 0
+            || active == 0
+        {
             return None;
         }
         let next_life = self.calendar.earliest_in_lane(LANE_LIFECYCLE);
@@ -550,13 +546,15 @@ impl<'a> EngineCore<'a, '_> {
 
         // Barrier: re-derive the cross-shard state the sequential engine
         // would hold at the window edge. Queue total is a plain re-sum;
-        // dispatch entries are refreshed per shard in ascending id order
-        // (epoch bumps invalidate every pre-window entry lazily); window
-        // trace events sort by step key into exactly the sequential
-        // emission order, all strictly before any post-window event.
+        // dispatch entries are refreshed and board rows re-synced per
+        // shard in ascending id order (epoch bumps invalidate every
+        // pre-window entry lazily); window trace events sort by step key
+        // into exactly the sequential emission order, all strictly before
+        // any post-window event.
         self.queued_total = self.shards.iter().map(|s| s.scheduler.queued()).sum();
         for shard in 0..shard_count {
             refresh_dispatch(&mut self.calendar, &mut self.shards, shard);
+            self.sync(shard);
         }
         if tracing {
             trace.sort_unstable_by_key(|(key, _)| *key);

@@ -415,3 +415,88 @@ fn parallel_trace_streams_match_the_sequential_recording() {
         }
     }
 }
+
+/// FNV-1a (64-bit) of `text`: pins a report's JSON line where no oracle
+/// exists to compare it with.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A 64-shard failover fleet that autoscales past 64 shards (the
+/// load-aware placement index grows past a power of two) while eight
+/// seeded kills re-place orphaned queues, under budget-aware admission
+/// and the deadline scheduler.
+fn large_fleet_cell() -> (Scenario, Autoscaler, FailurePlan) {
+    (
+        Scenario::b2_failover(64),
+        Autoscaler::reactive(64, 80).with_scale_up_queue_depth(4),
+        FailurePlan::seeded(0x064F_1EE7, 8, 3_000_000),
+    )
+}
+
+#[test]
+fn load_aware_placement_matches_the_reference_on_a_large_fleet() {
+    let (scenario, policy, failures) = large_fleet_cell();
+    for balancer in [
+        LoadBalancerKind::LeastLoaded,
+        LoadBalancerKind::AffinityFirst,
+    ] {
+        let config = fleet(64, balancer);
+        let frozen = reference::simulate_autoscaled_qos(
+            &config,
+            &scenario,
+            SchedulerKind::Deadline,
+            &policy,
+            &failures,
+            AdmissionKind::BudgetAware,
+        );
+        let rebuilt = simulate_autoscaled_qos(
+            &config,
+            &scenario,
+            SchedulerKind::Deadline,
+            &policy,
+            &failures,
+            AdmissionKind::BudgetAware,
+        );
+        assert!(
+            rebuilt.shard_count() > 64,
+            "{balancer:?}: the fleet never grew past 64 shards"
+        );
+        assert!(
+            rebuilt.replaced > 0,
+            "{balancer:?}: no orphan was re-placed"
+        );
+        assert_eq!(
+            frozen.to_json_line(),
+            rebuilt.to_json_line(),
+            "{balancer:?}: the large-fleet run diverged from the reference"
+        );
+    }
+}
+
+#[test]
+fn culling_on_a_large_fleet_reproduces_its_pinned_report() {
+    // The frozen loop predates deadline culling, so the culled run is
+    // pinned by the digest of its JSON line instead, as recorded with the
+    // linear placement scan the load-board index replaced.
+    let (scenario, policy, failures) = large_fleet_cell();
+    for (balancer, pinned) in [
+        (LoadBalancerKind::LeastLoaded, 0x7f25_beab_8ea5_d654),
+        (LoadBalancerKind::AffinityFirst, 0x2949_d156_4fe8_0ac5),
+    ] {
+        let report = simulate_autoscaled_deadline(
+            &fleet(64, balancer),
+            &scenario,
+            SchedulerKind::Deadline,
+            &policy,
+            &failures,
+            AdmissionKind::BudgetAware,
+            DeadlinePolicy::CullExpired,
+        );
+        assert!(report.expired > 0, "{balancer:?}: nothing was culled");
+        let digest = fnv1a(&report.to_json_line());
+        assert_eq!(digest, pinned, "{balancer:?}: digest {digest:#018x}");
+    }
+}
